@@ -48,12 +48,15 @@ def _measure(healer_name: str, n: int, max_deletions: int | None):
     g = preferential_attachment(n, 3, seed=1)
     healer = make_healer(healer_name)
     with Timer() as t:
+        # keep_events forces the generic engine: the fused DASH kernel
+        # never touches the component tracker this file measures.
         res = run_campaign(
             g,
             healer,
             RandomAttack(seed=2),
             id_seed=0,
             max_deletions=max_deletions,
+            keep_events=True,
         )
     return t.elapsed, res.deletions
 

@@ -12,6 +12,8 @@ trajectory of the hot paths is tracked across PRs.
 from __future__ import annotations
 
 import os
+import platform
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -27,6 +29,32 @@ BENCH_JSON = RESULTS_DIR / "BENCH_core.json"
 #: Sweep scale knob: CI-quick by default; export REPRO_BENCH_FULL=1 for
 #: paper-fidelity sizes (30 repetitions, larger n).
 FULL = bool(int(os.environ.get("REPRO_BENCH_FULL", "0")))
+
+
+def provenance() -> dict[str, str]:
+    """Where a measurement was taken: the commit (``-dirty`` when the
+    working tree has uncommitted changes; ``unknown`` outside a git
+    checkout) and the host's CPU model and core count."""
+    try:
+        sha = subprocess.run(
+            ["git", "describe", "--always", "--dirty"],
+            cwd=RESULTS_DIR.parent,
+            capture_output=True,
+            text=True,
+            check=True,
+        ).stdout.strip()
+    except (OSError, subprocess.CalledProcessError):
+        sha = "unknown"
+    cpu = platform.machine()
+    try:
+        with open("/proc/cpuinfo") as f:
+            for line in f:
+                if line.startswith("model name"):
+                    cpu = line.split(":", 1)[1].strip()
+                    break
+    except OSError:
+        pass
+    return {"sha": sha, "host": f"{cpu}, {os.cpu_count()} cpus"}
 
 
 def emit(fig) -> None:

@@ -1,7 +1,9 @@
 """Closed-form bounds from Theorems 1–2, as callable envelopes.
 
-Benchmarks and tests compare measured quantities against these functions;
-EXPERIMENTS.md records the margins.
+Benchmarks and tests compare measured quantities against these functions.
+The margins are printed by the ``theorem1`` harness table
+(``python -m repro.cli figure theorem1``) and, for the degree increase,
+recorded in ``results/fig8.txt`` next to the log₂ n envelope.
 """
 
 from __future__ import annotations

@@ -541,6 +541,45 @@ class ComponentTracker:
             if u not in self._parent:
                 self._parent[u] = u
 
+    def rebuild_from_fused(
+        self, parent: list[int], lab_origin: list[int], alive: list[int]
+    ) -> None:
+        """Adopt a fused kernel's union-find state (churn bailout).
+
+        The kernel (:func:`repro.sim.fastpath.run_fused_churn`) ran some
+        prefix of the campaign on parallel arrays indexed by node label
+        (labels are exactly ``0..n−1``); ``parent`` is its forest,
+        ``lab_origin[r]`` the node whose initial ID labels root ``r``,
+        and ``alive`` the surviving labels. When it hands control back to
+        the generic loop, the tracker must expose the same observable
+        state: the same component partition over ``alive``, each carrying
+        the same label, with every ever-tracked label (tombstones
+        included) still in the forest so re-adding a dead label is
+        refused. Internal tree shape and the cumulative accounting
+        counters are left as they are — both are unobservable here, since
+        fusion requires ``keep_network=False`` and no metrics/recorder.
+        """
+        members: dict[Node, set[Node]] = {}
+        for u in alive:
+            r = u
+            while parent[r] != r:
+                r = parent[r]
+            x = u
+            while parent[x] != r:
+                parent[x], x = r, parent[x]
+            s = members.get(r)
+            if s is None:
+                members[r] = {u}
+            else:
+                s.add(u)
+        initial_ids = self.initial_ids
+        root_label = {r: initial_ids[lab_origin[r]] for r in members}
+        self._parent = dict(enumerate(parent))
+        self._root_label = root_label
+        self._root_members = members
+        self._label_root = {label: r for r, label in root_label.items()}
+        self._dirty_roots = set()
+
     # ------------------------------------------------------------------
     # The deletion+heal round
     # ------------------------------------------------------------------

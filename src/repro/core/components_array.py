@@ -27,10 +27,12 @@ accounting, and the checkpoint export all stay one implementation,
 byte-identical across backends by construction (enforced by the
 differential suites in ``tests/integration/test_backend_differential.py``).
 
-``import_state`` and ``rebuild_from_healing_graph`` in the base class
-rebuild plain dicts wholesale; the subclass lets them, then re-packs the
-result into arrays (:meth:`ArrayComponentTracker._rearm`) — restore
-paths are cold, so the one-time conversion is free in context.
+``import_state``, ``rebuild_from_healing_graph`` and
+``rebuild_from_fused`` in the base class rebuild plain dicts wholesale;
+the subclass lets them, then re-packs the result into arrays
+(:meth:`ArrayComponentTracker._rearm`) — restore and fused-churn
+handoff paths run once per campaign, so the one-time conversion is free
+in context.
 """
 
 from __future__ import annotations
@@ -500,46 +502,5 @@ class ArrayComponentTracker(ComponentTracker):
     def rebuild_from_fused(
         self, parent: list[int], lab_origin: list[int], alive: list[int]
     ) -> None:
-        """Adopt a fused kernel's union-find state (churn bailout).
-
-        The kernel ran some prefix of the campaign on its own parallel
-        arrays; when it hands control back to the generic loop, the
-        tracker must expose the same observable state: the same component
-        partition over the live slots, each carrying the same label, with
-        every ever-tracked slot (tombstones included) still present in
-        the forest so re-adding a dead label is refused exactly as the
-        object tracker refuses it. Internal tree shape and the cumulative
-        accounting counters are *not* reproduced — both are unobservable
-        here, since fusion requires ``keep_network=False`` and no
-        metrics/recorder.
-        """
-        n = len(parent)
-        members = _MembersSlotMap()
-        mget = members.get
-        for u in alive:
-            r = u
-            while parent[r] != r:
-                r = parent[r]
-            x = u
-            while parent[x] != r:
-                parent[x], x = r, parent[x]
-            s = mget(r)
-            if s is None:
-                members[r] = {u}
-            else:
-                s.add(u)
-        uf = _IntSlotMap()
-        uf._slots = array("q", parent)
-        uf._count = n
-        root_label = _LabelSlotMap()
-        label_root = _LabelRootMap()
-        initial_ids = self.initial_ids
-        for r in members:
-            label = initial_ids[lab_origin[r]]
-            root_label[r] = label
-            label_root[label] = r
-        self._parent = uf
-        self._root_label = root_label
-        self._root_members = members
-        self._label_root = label_root
-        self._dirty_roots = set()
+        super().rebuild_from_fused(parent, lab_origin, alive)
+        self._rearm()

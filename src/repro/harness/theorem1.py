@@ -8,8 +8,10 @@ For each size we run DASH to network exhaustion under the harshest attack
 * max per-node messages          vs 2(d_max + 2·log₂ n)·ln n (Lemma 8)
 * amortized ID propagation/round vs O(log n)           (Lemma 9)
 
-Every measured column must sit below its envelope; the margin columns in
-the emitted table make the slack visible (EXPERIMENTS.md records them).
+Every measured column must sit below its envelope; the bound columns
+beside each measured one in the emitted table make the slack visible
+(``python -m repro.cli figure theorem1``; the degree-increase margins of
+the Fig. 8 sweep are recorded in ``results/fig8.txt``).
 """
 
 from __future__ import annotations

@@ -207,10 +207,12 @@ def run_campaign(
         and not keep_events
         and not keep_network
     ):
-        # Scalar-only campaigns on the array backend can fuse the whole
-        # round loop into one kernel (imported lazily — object-backend
-        # campaigns never pay for it). Eligibility is narrow and
-        # differential-tested; see :mod:`repro.sim.fastpath`.
+        # Scalar-only campaigns can fuse the whole round loop into one
+        # kernel, on the object graph and the array backend alike
+        # (imported lazily — observed campaigns never pay for it).
+        # Eligibility is narrow and differential-tested; see
+        # :mod:`repro.sim.fastpath`. The calls go through the module
+        # attribute so a wrapper installed there sees them.
         from repro.sim import fastpath
 
         if fastpath.supports(

@@ -1,4 +1,4 @@
-"""Fused unobservable-mode campaign kernel for the array backend.
+"""Fused unobservable-mode campaign kernel.
 
 The generic engine pays, every round, for machinery whose output the
 caller has explicitly declined: ``HealEvent`` construction
@@ -9,37 +9,44 @@ the moments δ changes). When a campaign asks for scalars only —
 ``SimulationResult.initial_n / deletions / final_alive / peak_delta`` —
 all of that work is unobservable.
 
-This module runs such campaigns as one fused loop over the array
-backend's slot stores: G and G′ adjacency are the raw ``ArrayGraph``
-slot lists, the component tracker is three parallel arrays
-(parent/size/label-origin) with inline path-compressed find, and the
-DASH plan (UN(v,G) ∪ N(v,G′) sorted ascending by (δ, initial ID) into a
-complete binary tree) is computed with plain ints — node labels, which
-for the array backend are their own slot indices. Labels are recovered
+This module runs such campaigns as one fused loop over *slot lists*:
+``adj[u]`` is the live adjacency set of node ``u`` (``None`` once dead)
+for G and G′. On the array backend the slot list is the ``ArrayGraph``
+slot store itself; on the object graph it aliases the ``_adj`` dict's
+own sets by label (:func:`_slot_list`), so every edge the kernel adds or
+drops lands in the caller's graph, and only the tombstones are written
+back on exit (:func:`_write_back`). The component tracker is three
+parallel arrays (parent/size/label-origin) with inline path-compressed
+find, and the DASH plan (UN(v,G) ∪ N(v,G′) sorted ascending by (δ,
+initial ID) into a complete binary tree) is computed with plain ints —
+node labels, which are their own slot indices. Labels are recovered
 through the label↔origin bijection: every label the tracker ever
 installs is ``initial_ids[origin]``, so one float per slot
 (``rand[origin]``) reconstructs full ID comparisons, with the origin int
 as the lexicographic tie-break.
 
 Exactness: the kernel is differential-tested against the generic path
-(``tests/sim/test_fused_kernel.py``) for identical result scalars AND
-identical adversary RNG state afterwards — it consumes exactly one
+on both substrates (``tests/sim/test_fused_kernel.py``) for identical
+result scalars, identical adversary RNG state afterwards, and an
+identical graph left behind — it consumes exactly one
 ``random.Random.choice`` per round, like
 :class:`~repro.adversary.classic.RandomAttack.choose_target`, and reuses
 (and keeps accurate) the adversary's own sorted survivor list.
 
 Eligibility (:func:`supports`) is deliberately narrow — exactly DASH ×
-RandomAttack × ``ArrayGraph`` with nothing observing intermediate state.
-``batch_fast_path=False`` (the engine's reference switch) or
-``keep_events=True`` forces the generic path, which is how the
-differential tests obtain the reference side.
+RandomAttack (or a verbatim churn adversary) on a ``Graph`` or
+``ArrayGraph`` whose labels are exactly ``0..n−1``, with nothing
+observing intermediate state. ``batch_fast_path=False`` (the engine's
+reference switch) or ``keep_events=True`` forces the generic path, which
+is how the differential tests obtain the reference side.
 
-After the loop the kernel *repairs* the invariants it bypassed: the
-graphs' cached node/edge counts, the degree/δ indexes (invalidated /
-re-pushed), and ``network.peak_delta``. The component tracker and
-``network.events``/``deleted_nodes`` are NOT maintained — which is why
-eligibility requires ``keep_network=False``: the network object is
-dropped without another observer ever reading it.
+After the loop the kernel *repairs* the invariants it bypassed: dead
+nodes leave the graphs, the cached node/edge counts are recomputed, the
+degree/δ indexes are invalidated / re-pushed, and ``network.peak_delta``
+is set. The component tracker and ``network.events``/``deleted_nodes``
+are NOT maintained by :func:`run_fused` — which is why eligibility
+requires ``keep_network=False``: the network object is dropped without
+another observer ever reading it.
 """
 
 from __future__ import annotations
@@ -50,8 +57,8 @@ from typing import TYPE_CHECKING, Sequence
 from repro.adversary.classic import RandomAttack
 from repro.churn.adversaries import ChurnAdversary, TraceChurnAdversary
 from repro.core.dash import Dash
-from repro.errors import SimulationError
 from repro.graph.array_backend import ArrayGraph
+from repro.graph.graph import Graph
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.adversary.base import Adversary
@@ -127,6 +134,72 @@ class _FenwickAliveView:
         self._count -= 1
 
 
+def _dense_labels(graph: Graph, healing_graph: Graph) -> bool:
+    """True iff G's labels are exactly ``0..n−1`` and G′ holds the same
+    nodes — the slot-list layout the kernel indexes.
+
+    On the array backend that is a hole-free slot store. On the object
+    graph it is an O(n) check at C speed: n unique keys that are all
+    exact ``int`` (no ``bool``, no numpy ints) in ``[0, n)`` are exactly
+    ``range(n)``.
+    """
+    if type(graph) is ArrayGraph:
+        n = len(graph._nbrs)
+        return graph.num_nodes == n and len(healing_graph._nbrs) == n
+    keys = graph._adj.keys()
+    if not keys:
+        return not healing_graph._adj
+    return (
+        set(map(type, keys)) == {int}
+        and min(keys) >= 0
+        and max(keys) < len(keys)
+        and healing_graph._adj.keys() == keys
+    )
+
+
+def _slot_list(graph: Graph) -> list:
+    """``graph``'s adjacency as a list indexed by node label.
+
+    The array backend's slot store is that list already. On the object
+    graph the list holds the ``_adj`` dict's own sets (labels are
+    exactly ``0..n−1``, see :func:`_dense_labels`), so every add and
+    discard the kernel makes lands in the graph; the kernel's tombstones
+    (slots set to ``None``) reach the dict in :func:`_write_back`.
+    """
+    if type(graph) is ArrayGraph:
+        return graph._nbrs
+    adj = graph._adj
+    return list(map(adj.__getitem__, range(len(adj))))
+
+
+def _write_back(graph: Graph, slots: list, n_alive: int) -> None:
+    """Repair what the kernel bypassed in ``graph``: dead nodes, the
+    node/edge counters and the degree index (dropped; rebuilt lazily on
+    the next extreme-degree query)."""
+    if type(graph) is ArrayGraph:
+        graph._n_alive = n_alive
+    else:
+        # In-place deletes keep the survivors' insertion order, exactly
+        # as the generic path's remove_node leaves it.
+        adj = graph._adj
+        for u, s in enumerate(slots):
+            if s is None:
+                del adj[u]
+    graph._num_edges = sum(len(s) for s in slots if s is not None) // 2
+    graph._deg_index = None
+
+
+def _live_distinct(ops: list[tuple], slots: list) -> bool:
+    """True iff the ops of a delete-only churn round name distinct live
+    labels (exact ``int`` slot indices whose slot is not dead)."""
+    n = len(slots)
+    for op in ops:
+        v = op[1]
+        if type(v) is not int or not 0 <= v < n or slots[v] is None:
+            return False
+    return len(ops) == 1 or len({op[1] for op in ops}) == len(ops)
+
+
 def supports(
     network: "SelfHealingNetwork",
     adversary: "Adversary",
@@ -144,7 +217,8 @@ def supports(
     draw), their ``choose_round`` never consults the network (which the
     kernel passes with stale public counters), and the kernel bails back
     to the generic loop at the first insertion round
-    (:func:`run_fused_churn`).
+    (:func:`run_fused_churn`). The O(n) label check runs last, only for
+    campaigns that pass every O(1) condition.
     """
     graph = network.graph
     if type(adversary) is RandomAttack:
@@ -162,7 +236,7 @@ def supports(
         )
     return (
         adversary_ok
-        and type(graph) is ArrayGraph
+        and type(graph) in (Graph, ArrayGraph)
         and type(network.healer) is Dash
         and not metrics
         and not batch_rounds
@@ -172,9 +246,7 @@ def supports(
         and network.batch_fast_path
         and not network.deleted_nodes
         and not network.events
-        # hole-free slot stores: labels == slot indices, every slot live
-        and graph.num_nodes == len(graph._nbrs)
-        and len(network.healing_graph._nbrs) == len(graph._nbrs)
+        and _dense_labels(graph, network.healing_graph)
     )
 
 
@@ -196,8 +268,8 @@ def run_fused(
     global _fused_campaigns
     graph = network.graph
     healing_graph = network.healing_graph
-    adj = graph._nbrs
-    padj = healing_graph._nbrs
+    adj = _slot_list(graph)
+    padj = _slot_list(healing_graph)
     n = len(adj)
     initial_ids = network.initial_ids
     # label↔origin bijection: initial_ids[u] == (rand[u], u)
@@ -368,14 +440,8 @@ def run_fused(
             u for u, s in enumerate(adj) if s is not None
         ]
         survivors = adversary._alive
-    graph._n_alive = n_alive
-    graph._num_edges = sum(len(s) for s in adj if s is not None) // 2
-    graph._deg_index = None
-    healing_graph._n_alive = n_alive
-    healing_graph._num_edges = (
-        sum(len(s) for s in padj if s is not None) // 2
-    )
-    healing_graph._deg_index = None
+    _write_back(graph, adj, n_alive)
+    _write_back(healing_graph, padj, n_alive)
     network.peak_delta = peak_delta
     # Survivors' δ moved without the mutation stream firing: re-push
     # current values (stale lower/higher entries self-invalidate against
@@ -408,33 +474,35 @@ def run_fused_churn(
 
     Churn rounds dictate victims, so each deletion runs the same fused
     delete+heal body as :func:`run_fused` minus the RNG draw. The kernel
-    cannot execute insertions (its slot arrays and the result accounting
+    cannot execute insertions (its slot lists and the result accounting
     assume the construction-time population), so at the first round
-    containing an ``add`` op it *bails out*: repairs every invariant it
-    bypassed — graph node/edge counters, degree/δ indexes, ``peak_delta``,
-    ``deleted_nodes``, and the component tracker (rebuilt from the kernel
-    arrays via :meth:`ArrayComponentTracker.rebuild_from_fused
-    <repro.core.components_array.ArrayComponentTracker.rebuild_from_fused>`)
-    — and hands the already-chosen round back to the generic loop.
+    containing an ``add`` op — or a victim that is not a distinct live
+    label, whose error the generic loop reports — it *bails out*:
+    repairs every invariant it bypassed — dead nodes, graph node/edge
+    counters, degree/δ indexes, ``peak_delta``, ``deleted_nodes``, and
+    the component tracker (rebuilt from the kernel arrays via
+    :meth:`ComponentTracker.rebuild_from_fused
+    <repro.core.components.ComponentTracker.rebuild_from_fused>`) — and
+    hands the already-chosen round back to the generic loop.
 
     Returns ``(result, None)`` when the kernel ran the whole campaign, or
     ``(None, (rounds, deletions, pending_round))`` on bailout; the caller
     resumes :func:`~repro.sim.engine._drive_campaign` with those counters
-    and the pending round. The O(n) kernel arrays are built lazily on the
-    first delete-only round, so a campaign whose very first round inserts
-    (steady-state churn) bails with zero setup or repair cost.
+    and the pending round. The slot-list aliases and the O(n) kernel
+    arrays are built lazily on the first delete-only round, so a campaign
+    whose very first round inserts (steady-state churn) bails with zero
+    setup or repair cost.
     """
     from repro.sim.engine import SimulationResult, _normalize_churn_ops
 
     global _fused_campaigns
     graph = network.graph
     healing_graph = network.healing_graph
-    adj = graph._nbrs
-    padj = healing_graph._nbrs
-    n = len(adj)
-    name = adversary.name
+    n = graph.num_nodes
 
     armed = False
+    adj: list = []
+    padj: list = []
     rand: list[float] = []
     init_deg: list[int] = []
     parent: list[int] = []
@@ -465,6 +533,8 @@ def run_fused_churn(
             pending = chosen
             break
         if not armed:
+            adj = _slot_list(graph)
+            padj = _slot_list(healing_graph)
             initial_ids = network.initial_ids
             rand = [initial_ids[u][0] for u in range(n)]
             init_deg = [len(s) for s in adj]
@@ -472,17 +542,14 @@ def run_fused_churn(
             size = [1] * n
             lab_origin = list(range(n))
             armed = True
+        if not _live_distinct(ops, adj):
+            # A dead, unknown or repeated victim: the generic loop runs
+            # this round from its first op and raises its own error,
+            # against a repaired graph.
+            pending = chosen
+            break
         for op in ops:
             v = op[1]
-            if (
-                not isinstance(v, int)
-                or not 0 <= v < n
-                or adj[v] is None
-            ):
-                raise SimulationError(
-                    f"adversary {name} chose dead node {v!r}"
-                )
-
             # find(v) with path compression; decrement its component.
             root = v
             while parent[root] != root:
@@ -615,19 +682,13 @@ def run_fused_churn(
             network=None,
         ), None
 
-    # Repair what the fused prefix bypassed (both exits): counters, the
-    # degree/δ machinery, and the deletion log.
-    alive = [u for u, s in enumerate(adj) if s is not None]
-    graph._n_alive = n_alive
-    graph._num_edges = sum(len(adj[u]) for u in alive) // 2
-    graph._deg_index = None
-    healing_graph._n_alive = n_alive
-    healing_graph._num_edges = (
-        sum(len(s) for s in padj if s is not None) // 2
-    )
-    healing_graph._deg_index = None
+    # Repair what the fused prefix bypassed (both exits): dead nodes,
+    # counters, the degree/δ machinery, and the deletion log.
+    _write_back(graph, adj, n_alive)
+    _write_back(healing_graph, padj, n_alive)
     network.peak_delta = peak_delta
     network.deleted_nodes.extend(victims)
+    alive = [u for u, s in enumerate(adj) if s is not None]
     delta_index = network._delta_index
     for u in alive:
         delta_index.push(u, len(adj[u]) - init_deg[u])

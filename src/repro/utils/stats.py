@@ -2,8 +2,9 @@
 
 The paper averages every measured statistic over 30 random graph
 instances; we additionally report the sample standard deviation and a
-normal-approximation confidence interval so EXPERIMENTS.md can record
-paper-vs-measured comparisons with error bars.
+normal-approximation confidence interval, so the figure tables (e.g.
+``results/fig8.txt``) and the ``theorem1`` harness table can set
+measured values against the paper's with error bars.
 """
 
 from __future__ import annotations

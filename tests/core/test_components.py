@@ -229,6 +229,52 @@ class TestDeadAndGrownNodes:
             tracker.add_node(7, ids[1])  # label already in use
 
 
+class TestRebuildFromFused:
+    """Adopting a fused kernel's union-find arrays (churn bailout)."""
+
+    def kernel_state(self):
+        # Pre-campaign classes {0,1,2,3} (root 0, label ID(0)), {4,5}
+        # (root 5, label ID(4)) and {6}; then nodes 0, 5 and 6 died.
+        # The dead roots 0 and 5 carry the survivors' labels; 6 left no
+        # survivors, but stays in the forest as a tombstone all the same.
+        g, gp, tracker, ids = build(
+            range(7), gp_edges=[(0, 1), (1, 2), (2, 3), (4, 5)]
+        )
+        for dead in (0, 5, 6):
+            g.remove_node(dead)
+            gp.remove_node(dead)
+        gp.add_edge(1, 3)  # the heal that kept {1, 2, 3} together
+        parent = [0, 0, 1, 0, 5, 5, 6]
+        lab_origin = [0, 1, 2, 3, 4, 4, 6]
+        return tracker, ids, parent, lab_origin, [1, 2, 3, 4]
+
+    def test_reproduces_partition_and_labels(self):
+        tracker, ids, parent, lab_origin, alive = self.kernel_state()
+        tracker.id_changes[2] = 3
+        tracker.rebuild_from_fused(parent, lab_origin, alive)
+        assert tracker.components() == {
+            ids[0]: frozenset({1, 2, 3}),
+            ids[4]: frozenset({4}),
+        }
+        assert tracker.label_of(2) == ids[0]
+        assert tracker.label_of(4) == ids[4]
+        tracker.check_consistency()
+        # cumulative counters are left as they were
+        assert tracker.id_changes[2] == 3
+        for dead in (0, 5, 6):
+            with pytest.raises(SimulationError, match="not tracked"):
+                tracker.label_of(dead)
+
+    def test_refuses_to_re_add_a_tombstoned_label(self):
+        tracker, ids, parent, lab_origin, alive = self.kernel_state()
+        tracker.rebuild_from_fused(parent, lab_origin, alive)
+        for dead in (0, 5, 6):
+            with pytest.raises(SimulationError, match="already tracked"):
+                tracker.add_node(dead, (0.9, 100 + dead))
+        tracker.add_node(7, (0.07, 7))
+        assert tracker.label_of(7) == (0.07, 7)
+
+
 class TestConsistencyChecker:
     def test_detects_mislabel(self):
         g, gp, tracker, ids = build([1, 2])

@@ -104,7 +104,10 @@ class TestFigure9Shape:
         cross-healer *ordering* — higher-degree healers send more — is
         noise-dominated at laptop sizes in our reproduction: graph-heal's
         denser G′ merges components sooner, cutting its ID-change count
-        even as its fan-out per change grows. EXPERIMENTS.md discusses.)"""
+        even as its fan-out per change grows. DASH's margin to the
+        envelope is in the ``theorem1`` harness table; the per-healer
+        Fig. 9 tables, ``python -m repro.cli figure fig9``, show the
+        ordering.)"""
         spec = ExperimentSpec(
             name="shape9b",
             sizes=(150,),
