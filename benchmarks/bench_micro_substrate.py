@@ -9,8 +9,6 @@ from __future__ import annotations
 
 import random
 
-import pytest
-
 from repro.graph.distance import all_pairs_distances, distance_matrix
 from repro.graph.generators import preferential_attachment
 from repro.graph.traversal import bfs_distances, connected_components
@@ -80,15 +78,12 @@ def test_stretch_sampled(benchmark):
     benchmark(lambda: sc.measure(h))
 
 
-@pytest.mark.parametrize("backend", ["object", "array"])
-def test_substrate_memory_per_node(bench_recorder, backend):
+def test_substrate_memory_per_node(bench_recorder):
     """Bytes per node of the full campaign substrate (graph + healing
-    graph + tracker + indexes) per backend, via tracemalloc — the
-    number that decides the sweep-scale ceiling. Recorded to
+    graph + tracker + indexes), via tracemalloc — the number that
+    decides the sweep-scale ceiling. Recorded to
     ``results/BENCH_core.json``; no floor, this is a tracked trajectory.
-    Both backends share the Python-set adjacency/member storage, so the
-    array win here is modest (~10% at introduction — the flat keying);
-    the headline array-backend win is time, not footprint."""
+    """
     import resource
     import tracemalloc
 
@@ -98,7 +93,7 @@ def test_substrate_memory_per_node(bench_recorder, backend):
 
     n = 50_000
     tracemalloc.start()
-    g = preferential_attachment(n, 3, seed=7, backend=backend)
+    g = preferential_attachment(n, 3, seed=7)
     network = SelfHealingNetwork(g, make_healer("dash"), seed=0)
     adversary = RandomAttack(seed=1)
     adversary.reset(network)
@@ -107,17 +102,16 @@ def test_substrate_memory_per_node(bench_recorder, backend):
     peak_rss_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
     assert network.initial_n == n
     bench_recorder.record(
-        f"substrate_memory_{backend}_pa50000_m3",
+        "substrate_memory_object_pa50000_m3",
         seconds=0.0,
         rounds=0,
         n=n,
         topology="preferential-attachment-m3",
-        backend=backend,
         bytes_per_node=round(current / n, 1),
         peak_traced_mb=round(peak / 2**20, 1),
         peak_rss_mb=round(peak_rss_kb / 1024, 1),
     )
     print(
-        f"\nsubstrate memory [{backend}] pa50000: {current / n:.0f} "
+        f"\nsubstrate memory pa50000: {current / n:.0f} "
         f"B/node steady, {peak / 2**20:.1f} MB traced peak"
     )

@@ -86,8 +86,6 @@ from repro.sim import (
     default_metrics,
     run_campaign,
     run_experiment,
-    run_simulation,
-    run_wave_simulation,
 )
 from repro.version import PAPER, __version__
 
@@ -144,8 +142,6 @@ __all__ = [
     "default_metrics",
     "run_campaign",
     "run_experiment",
-    "run_simulation",
-    "run_wave_simulation",
     "PAPER",
     "__version__",
 ]

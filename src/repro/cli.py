@@ -69,13 +69,6 @@ def _add_socket_arg(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _backend_names() -> list[str]:
-    """Known graph backend names, for ``--backend`` choices."""
-    from repro.graph.array_backend import BACKENDS
-
-    return sorted(BACKENDS)
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro-selfheal",
@@ -109,9 +102,6 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--adversary", default="neighbor-of-max",
                      help="adversary name or spec string, e.g. "
                           "'random-wave:size=8,schedule=geometric'")
-    sim.add_argument("--backend", default=None, choices=_backend_names(),
-                     help="graph storage backend (default: the "
-                          "generator spec's choice, else 'object')")
     sim.add_argument("--seed", type=int, default=0)
     sim.add_argument("--max-deletions", type=int, default=None,
                      help="node-deletion budget (single-victim adversaries)")
@@ -313,10 +303,6 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         force = {"n": args.n}
         if args.m is not None:
             force["m"] = args.m
-        if args.backend is not None:
-            # Forced, not defaulted: a generator spec that also pins
-            # backend=... conflicts and fails fast in Registry.make.
-            force["backend"] = args.backend
         graph = GENERATORS.make(
             args.generator,
             seed=derive_seed(args.seed, "graph"),

@@ -34,7 +34,6 @@ from repro.core.base import (
     ReconnectionPlan,
 )
 from repro.core.components import ComponentTracker, NodeId, make_node_ids
-from repro.core.components_array import ArrayComponentTracker
 from repro.errors import HealingError, NodeNotFoundError, SimulationError
 from repro.graph.degree_index import DegreeIndex
 from repro.graph.forest import is_forest
@@ -148,17 +147,9 @@ class SelfHealingNetwork:
             graph.nodes(), rng
         )
         # G′ never pays degree-index bookkeeping: nothing queries its
-        # degree extremes, so its lazy index is simply never built. It
-        # shares G's backend (same class), and an array-backend graph
-        # gets the array tracker — both are byte-identical drop-ins, so
-        # nothing else in this class cares which backend runs.
+        # degree extremes, so its lazy index is simply never built.
         self.healing_graph = type(graph)(graph.nodes())
-        tracker_cls = (
-            ArrayComponentTracker
-            if getattr(graph, "backend", "object") == "array"
-            else ComponentTracker
-        )
-        self.tracker = tracker_cls(
+        self.tracker = ComponentTracker(
             graph=self.graph,
             healing_graph=self.healing_graph,
             initial_ids=self.initial_ids,

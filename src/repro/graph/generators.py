@@ -15,9 +15,10 @@ from __future__ import annotations
 
 import itertools
 import math
+import warnings
+from collections.abc import Mapping
 
 from repro.errors import ConfigurationError
-from repro.graph.array_backend import new_graph
 from repro.graph.graph import Graph
 from repro.registry import Registry
 from repro.utils.rng import make_rng
@@ -43,7 +44,7 @@ __all__ = [
 
 
 def preferential_attachment(
-    n: int, m: int = 2, seed: int | None = None, *, backend: str = "object"
+    n: int, m: int = 2, seed: int | None = None
 ) -> Graph:
     """Barabási–Albert preferential-attachment graph on ``n`` nodes.
 
@@ -69,7 +70,7 @@ def preferential_attachment(
     if n < m + 1:
         raise ConfigurationError(f"n must be >= m+1 = {m + 1}, got {n}")
     rng = make_rng(seed)
-    g = new_graph(range(n), backend)
+    g = Graph(range(n))
     # Seed graph: a star on nodes 0..m (node m is the hub). Any connected
     # seed works; a star keeps the degree sequence non-degenerate for m=1.
     repeated: list[int] = []
@@ -86,16 +87,14 @@ def preferential_attachment(
     return g
 
 
-def erdos_renyi(
-    n: int, p: float, seed: int | None = None, *, backend: str = "object"
-) -> Graph:
+def erdos_renyi(n: int, p: float, seed: int | None = None) -> Graph:
     """G(n, p) random graph: each of the C(n,2) edges appears independently."""
     if not 0.0 <= p <= 1.0:
         raise ConfigurationError(f"p must be in [0, 1], got {p}")
     if n < 0:
         raise ConfigurationError(f"n must be >= 0, got {n}")
     rng = make_rng(seed)
-    g = new_graph(range(n), backend)
+    g = Graph(range(n))
     if p == 0.0:
         return g
     if p == 1.0:
@@ -116,9 +115,7 @@ def erdos_renyi(
     return g
 
 
-def gnm_random(
-    n: int, m: int, seed: int | None = None, *, backend: str = "object"
-) -> Graph:
+def gnm_random(n: int, m: int, seed: int | None = None) -> Graph:
     """G(n, m) random graph: ``m`` distinct edges drawn uniformly."""
     max_edges = n * (n - 1) // 2
     if m > max_edges:
@@ -126,7 +123,7 @@ def gnm_random(
             f"m={m} exceeds max edges {max_edges} for n={n}"
         )
     rng = make_rng(seed)
-    g = new_graph(range(n), backend)
+    g = Graph(range(n))
     added = 0
     while added < m:
         u = rng.randrange(n)
@@ -136,9 +133,7 @@ def gnm_random(
     return g
 
 
-def random_tree(
-    n: int, seed: int | None = None, *, backend: str = "object"
-) -> Graph:
+def random_tree(n: int, seed: int | None = None) -> Graph:
     """Uniform random recursive tree on ``n`` nodes.
 
     Node ``i`` (``i >= 1``) attaches to a uniformly random node in
@@ -149,7 +144,7 @@ def random_tree(
     if n < 1:
         raise ConfigurationError(f"n must be >= 1, got {n}")
     rng = make_rng(seed)
-    g = new_graph(range(n), backend)
+    g = Graph(range(n))
     for i in range(1, n):
         g.add_edge(i, rng.randrange(i))
     return g
@@ -194,9 +189,7 @@ def kary_level(node: int, branching: int) -> int:
     return level
 
 
-def complete_kary_tree(
-    branching: int, depth: int, *, backend: str = "object"
-) -> Graph:
+def complete_kary_tree(branching: int, depth: int) -> Graph:
     """Complete ``branching``-ary tree of the given ``depth`` in heap order.
 
     Node 0 is the root; node ``i > 0`` has parent ``(i-1) // branching``.
@@ -204,7 +197,7 @@ def complete_kary_tree(
     ``branching = M + 2``).
     """
     n = kary_tree_size(branching, depth)
-    g = new_graph(range(n), backend)
+    g = Graph(range(n))
     for i in range(1, n):
         g.add_edge(i, (i - 1) // branching)
     return g
@@ -213,50 +206,48 @@ def complete_kary_tree(
 # ----------------------------------------------------------------------
 # Deterministic fixed topologies
 # ----------------------------------------------------------------------
-def path_graph(n: int, *, backend: str = "object") -> Graph:
+def path_graph(n: int) -> Graph:
     """Simple path 0–1–…–(n−1)."""
-    g = new_graph(range(n), backend)
+    g = Graph(range(n))
     for i in range(n - 1):
         g.add_edge(i, i + 1)
     return g
 
 
-def cycle_graph(n: int, *, backend: str = "object") -> Graph:
+def cycle_graph(n: int) -> Graph:
     """Simple cycle on ``n >= 3`` nodes."""
     if n < 3:
         raise ConfigurationError(f"cycle needs n >= 3, got {n}")
-    g = path_graph(n, backend=backend)
+    g = path_graph(n)
     g.add_edge(n - 1, 0)
     return g
 
 
-def star_graph(n: int, *, backend: str = "object") -> Graph:
+def star_graph(n: int) -> Graph:
     """Star: node 0 is the hub, nodes 1..n−1 are leaves. ``n >= 1``."""
     if n < 1:
         raise ConfigurationError(f"star needs n >= 1, got {n}")
-    g = new_graph(range(n), backend)
+    g = Graph(range(n))
     for i in range(1, n):
         g.add_edge(0, i)
     return g
 
 
-def complete_graph(n: int, *, backend: str = "object") -> Graph:
+def complete_graph(n: int) -> Graph:
     """Clique on ``n`` nodes."""
-    g = new_graph(range(n), backend)
+    g = Graph(range(n))
     for u, v in itertools.combinations(range(n), 2):
         g.add_edge(u, v)
     return g
 
 
-def grid_graph(
-    rows: int, cols: int, *, backend: str = "object"
-) -> Graph:
+def grid_graph(rows: int, cols: int) -> Graph:
     """``rows`` × ``cols`` 4-neighbor grid, nodes labelled row-major."""
     if rows < 1 or cols < 1:
         raise ConfigurationError(
             f"grid needs rows, cols >= 1, got {rows}x{cols}"
         )
-    g = new_graph(range(rows * cols), backend)
+    g = Graph(range(rows * cols))
     for r in range(rows):
         for c in range(cols):
             u = r * cols + c
@@ -268,8 +259,7 @@ def grid_graph(
 
 
 def watts_strogatz(
-    n: int, k: int, p: float, seed: int | None = None, *,
-    backend: str = "object"
+    n: int, k: int, p: float, seed: int | None = None
 ) -> Graph:
     """Watts–Strogatz small-world graph (ring lattice + rewiring).
 
@@ -282,7 +272,7 @@ def watts_strogatz(
     if not 0.0 <= p <= 1.0:
         raise ConfigurationError(f"p must be in [0, 1], got {p}")
     rng = make_rng(seed)
-    g = new_graph(range(n), backend)
+    g = Graph(range(n))
     for u in range(n):
         for j in range(1, k // 2 + 1):
             g.add_edge(u, (u + j) % n)
@@ -299,11 +289,48 @@ def watts_strogatz(
     return g
 
 
+#: the graph backends spec strings could once select with ``backend=``
+_RETIRED_BACKENDS = ("object", "array")
+
+
+class _GeneratorRegistry(Registry):
+    """The generator registry; it drops the retired ``backend=`` argument.
+
+    Specs once chose a graph storage backend (``"pa:n=100,backend=array"``
+    or ``generator_params={"backend": "array"}``). Only
+    :class:`~repro.graph.graph.Graph` remains, but job records and
+    experiment specs on disk still carry the argument, so a known backend
+    name is accepted as a deprecated no-op and any other value fails
+    fast. :meth:`validate_spec` and :meth:`make` both read their
+    arguments through here.
+    """
+
+    def _arguments(
+        self, spec: str, overrides: Mapping[str, object] | None
+    ) -> tuple[str, tuple[object, ...], dict[str, object]]:
+        name, args, kwargs = super()._arguments(spec, overrides)
+        if "backend" in kwargs:
+            backend = kwargs.pop("backend")
+            if backend not in _RETIRED_BACKENDS:
+                raise ConfigurationError(
+                    f"unknown graph backend {backend!r} for generator "
+                    f"{spec!r}; known backends: "
+                    f"{', '.join(_RETIRED_BACKENDS)}"
+                )
+            warnings.warn(
+                f"generator {spec!r}: backend= is deprecated and ignored; "
+                "every generator builds a Graph",
+                DeprecationWarning,
+                stacklevel=3,
+            )
+        return name, args, kwargs
+
+
 #: Name → factory registry used by the CLI and experiment specs (a
 #: :class:`~repro.registry.Registry`: spec strings like
 #: ``"erdos_renyi:p=0.1"`` work anywhere a generator name does, and the
 #: sweep runner injects ``n``/``seed`` only where a factory accepts them).
-GENERATORS: Registry = Registry(
+GENERATORS: Registry = _GeneratorRegistry(
     "generator",
     {
         "preferential_attachment": preferential_attachment,
@@ -320,6 +347,5 @@ GENERATORS: Registry = Registry(
     },
     injected=("n", "seed"),
 )
-#: short alias used throughout the benchmarks and docs
-#: ("pa:n=16000,backend=array")
+#: short alias used throughout the benchmarks and docs ("pa:n=16000,m=3")
 GENERATORS.alias("pa", "preferential_attachment")

@@ -57,11 +57,6 @@ class Graph:
     0
     """
 
-    #: backend name this class implements (see
-    #: :mod:`repro.graph.array_backend` for the slotted alternative and
-    #: the ``new_graph`` selection factory)
-    backend = "object"
-
     __slots__ = ("_adj", "_num_edges", "_deg_index", "degree_listener")
 
     def __init__(self, nodes: Iterable[Node] = ()) -> None:

@@ -39,10 +39,8 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Hashable, Iterable, Mapping, Sequence
 
 from repro.core.components import ComponentTracker, NodeId, make_node_ids
-from repro.core.components_array import ArrayComponentTracker
 from repro.core.network import HealEvent, SelfHealingNetwork
 from repro.errors import CheckpointError, ConfigurationError
-from repro.graph.array_backend import new_graph
 from repro.graph.degree_index import DegreeIndex
 from repro.graph.graph import Graph
 from repro.recovery.ledger import (
@@ -239,18 +237,11 @@ def _encode_graph(graph: Graph) -> dict:
     return {"edges": _encode_edges(graph.edges()), "isolated": isolated}
 
 
-def _decode_graph(
-    payload: dict, nodes: Sequence[Node], backend: str = "object"
-) -> Graph:
-    graph = new_graph(nodes, backend=backend)
+def _decode_graph(payload: dict, nodes: Sequence[Node]) -> Graph:
+    graph = Graph(nodes)
     for a, b in _iter_edge_pairs(payload["edges"]):
         graph.add_edge(a, b)
     return graph
-
-
-def _tracker_cls(backend: str) -> type[ComponentTracker]:
-    """Mirror ``SelfHealingNetwork.__init__``'s backend sniffing."""
-    return ArrayComponentTracker if backend == "array" else ComponentTracker
 
 
 def _graph_nodes(payload: dict) -> list[Node]:
@@ -753,11 +744,6 @@ class CampaignRecorder:
             # to a bare count.
             "nodes": _encode_nodes(list(network.initial_ids)),
             "edges": _encode_edges(network.graph.edges()),
-            # Graph backend, so restore rebuilds the same substrate
-            # (array campaigns must resume on array — byte-identical
-            # either way, but perf and fused-kernel eligibility differ).
-            # Old checkpoints lack the key and default to "object".
-            "backend": getattr(network.graph, "backend", "object"),
             "params": _ensure_jsonable(dict(self.params), "engine params"),
             "checkpoint_every": self.checkpoint_every,
             "healer": _component_descriptor(network.healer),
@@ -997,10 +983,12 @@ def _restore_network(
         (u, d) for u, d in dynamic["extra_initial_degree"]
     )
 
-    backend = static.get("backend", "object")
+    # Static payloads written while an array graph backend existed carry
+    # a "backend" key; restore ignores it (both substrates exported the
+    # same tracker state, so every payload restores onto Graph).
     nodes = _graph_nodes(dynamic["graph"])
-    graph = _decode_graph(dynamic["graph"], nodes, backend)
-    healing_graph = new_graph(nodes, backend=backend)
+    graph = _decode_graph(dynamic["graph"], nodes)
+    healing_graph = Graph(nodes)
     for a, b in _iter_edge_pairs(dynamic["healing_edges"]):
         healing_graph.add_edge(a, b)
 
@@ -1028,7 +1016,7 @@ def _restore_network(
     # the sorted table — harmless, nothing orders by it.
     network.inserted_nodes = [u for u, _ in dynamic["extra_initial_ids"]]
     network.healing_graph = healing_graph
-    network.tracker = _tracker_cls(backend)(
+    network.tracker = ComponentTracker(
         graph=graph,
         healing_graph=healing_graph,
         initial_ids=initial_ids,
@@ -1055,9 +1043,8 @@ def _initial_network(static: dict, healer: object) -> SelfHealingNetwork:
     except that the healer's post-``reset`` state arrives via
     ``import_state``."""
     initial_ids, initial_degree = _static_tables(static)
-    backend = static.get("backend", "object")
     nodes = _static_node_seq(static)
-    graph = new_graph(nodes, backend=backend)
+    graph = Graph(nodes)
     for a, b in _iter_edge_pairs(static["edges"]):
         graph.add_edge(a, b)
 
@@ -1075,8 +1062,8 @@ def _initial_network(static: dict, healer: object) -> SelfHealingNetwork:
     graph.degree_listener = network._on_degree_change
     network.initial_ids = initial_ids
     network.inserted_nodes = []
-    network.healing_graph = new_graph(nodes, backend=backend)
-    network.tracker = _tracker_cls(backend)(
+    network.healing_graph = Graph(nodes)
+    network.tracker = ComponentTracker(
         graph=graph,
         healing_graph=network.healing_graph,
         initial_ids=initial_ids,

@@ -218,9 +218,9 @@ class Registry(Mapping):
 
         The alias shares the original's factory, so spec parsing,
         signature probing, and seed/force injection all behave
-        identically (``"pa:n=100,backend=array"`` ≡
-        ``"preferential_attachment:n=100,backend=array"``). Aliases show
-        up in :meth:`names` like any other entry.
+        identically (``"pa:n=100,m=3"`` ≡
+        ``"preferential_attachment:n=100,m=3"``). Aliases show up in
+        :meth:`names` like any other entry.
         """
         self.register(alias, self.factory(name))
 
@@ -268,6 +268,17 @@ class Registry(Mapping):
         self.factory(name)  # raises with the available names on a miss
         return name, args, kwargs
 
+    def _arguments(
+        self, spec: str, overrides: Mapping[str, object] | None
+    ) -> tuple[str, tuple[object, ...], dict[str, object]]:
+        """The spec's ``(name, args, kwargs)`` with ``overrides`` merged
+        into the keyword arguments — what :meth:`validate_spec` checks
+        and :meth:`make` builds from."""
+        name, args, kwargs = self.parse(spec)
+        if overrides:
+            kwargs.update(overrides)
+        return name, args, kwargs
+
     def validate_spec(
         self,
         spec: str,
@@ -285,9 +296,7 @@ class Registry(Mapping):
         pinned by the spec. So an :class:`ExperimentSpec` typo explodes
         at construction, not deep inside a worker process.
         """
-        name, args, kwargs = self.parse(spec)
-        if overrides:
-            kwargs.update(overrides)
+        name, args, kwargs = self._arguments(spec, overrides)
         sig = self._signature(name)
         if sig is not None:
             try:
@@ -354,9 +363,7 @@ class Registry(Mapping):
         * ``seed`` — injected via ``setdefault`` iff the factory accepts a
           ``seed`` parameter (the centralized seeding discipline).
         """
-        name, args, kwargs = self.parse(spec)
-        if overrides:
-            kwargs.update(overrides)
+        name, args, kwargs = self._arguments(spec, overrides)
         # Parameter names already consumed by the spec's positional args:
         # injection must never collide with them.
         positional: set[str] = set()

@@ -1,6 +1,6 @@
 """Simulation layer: the campaign engine, metrics, experiments, sweeps."""
 
-from repro.sim.engine import run_campaign
+from repro.sim.engine import SimulationResult, run_campaign
 from repro.sim.experiment import (
     ExperimentSpec,
     expand_tasks,
@@ -22,11 +22,6 @@ from repro.sim.metrics import (
 )
 from repro.sim.parallel import default_jobs, run_tasks
 from repro.sim.results import ResultRow, ResultSet
-from repro.sim.simulator import (
-    SimulationResult,
-    run_simulation,
-    run_wave_simulation,
-)
 from repro.sim.stretch import StretchComputer, StretchReport
 from repro.sim.trace import (
     Trace,
@@ -58,8 +53,6 @@ __all__ = [
     "ResultRow",
     "ResultSet",
     "SimulationResult",
-    "run_simulation",
-    "run_wave_simulation",
     "StretchComputer",
     "StretchReport",
     "Trace",

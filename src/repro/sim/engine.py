@@ -17,11 +17,11 @@ module is that loop, once, for every entry point in the package:
   single-victim rounds) → metrics until a stop condition, and returns a
   :class:`SimulationResult`.
 
-The legacy entry points :func:`~repro.sim.simulator.run_simulation` and
-:func:`~repro.sim.simulator.run_wave_simulation` are thin deprecated
-shims over this function and produce byte-identical results
-(differential-tested in ``tests/sim/test_campaign_engine.py`` against the
-pre-engine loops preserved in ``tests/sim/_seed_simulator.py``).
+Single-victim (``batch_rounds=False``) and wave (``batch_rounds=True``)
+campaigns produce byte-identical results to the per-shape loops this
+engine replaced (differential-tested in
+``tests/sim/test_campaign_engine.py`` against the pre-engine loops
+preserved in ``tests/sim/_seed_simulator.py``).
 
 Round accounting: each wave is deduplicated once *before* deletion (in
 first-appearance order), so ``result.deletions`` counts exactly the nodes
@@ -208,8 +208,7 @@ def run_campaign(
         and not keep_network
     ):
         # Scalar-only campaigns can fuse the whole round loop into one
-        # kernel, on the object graph and the array backend alike
-        # (imported lazily — observed campaigns never pay for it).
+        # kernel (imported lazily — observed campaigns never pay for it).
         # Eligibility is narrow and differential-tested; see
         # :mod:`repro.sim.fastpath`. The calls go through the module
         # attribute so a wrapper installed there sees them.

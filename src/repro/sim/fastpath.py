@@ -11,9 +11,8 @@ all of that work is unobservable.
 
 This module runs such campaigns as one fused loop over *slot lists*:
 ``adj[u]`` is the live adjacency set of node ``u`` (``None`` once dead)
-for G and G′. On the array backend the slot list is the ``ArrayGraph``
-slot store itself; on the object graph it aliases the ``_adj`` dict's
-own sets by label (:func:`_slot_list`), so every edge the kernel adds or
+for G and G′. The slot list aliases the graph's ``_adj`` dict's own
+sets by label (:func:`_slot_list`), so every edge the kernel adds or
 drops lands in the caller's graph, and only the tombstones are written
 back on exit (:func:`_write_back`). The component tracker is three
 parallel arrays (parent/size/label-origin) with inline path-compressed
@@ -26,22 +25,21 @@ installs is ``initial_ids[origin]``, so one float per slot
 as the lexicographic tie-break.
 
 Exactness: the kernel is differential-tested against the generic path
-on both substrates (``tests/sim/test_fused_kernel.py``) for identical
-result scalars, identical adversary RNG state afterwards, and an
-identical graph left behind — it consumes exactly one
-``random.Random.choice`` per round, like
+(``tests/sim/test_fused_kernel.py``) for identical result scalars,
+identical adversary RNG state afterwards, and an identical graph left
+behind — it consumes exactly one ``random.Random.choice`` per round, like
 :class:`~repro.adversary.classic.RandomAttack.choose_target`, and reuses
 (and keeps accurate) the adversary's own sorted survivor list.
 
 Eligibility (:func:`supports`) is deliberately narrow — exactly DASH ×
-RandomAttack (or a verbatim churn adversary) on a ``Graph`` or
-``ArrayGraph`` whose labels are exactly ``0..n−1``, with nothing
-observing intermediate state. ``batch_fast_path=False`` (the engine's
-reference switch) or ``keep_events=True`` forces the generic path, which
-is how the differential tests obtain the reference side.
+RandomAttack (or a verbatim churn adversary) on a ``Graph`` whose
+labels are exactly ``0..n−1``, with nothing observing intermediate
+state. ``batch_fast_path=False`` (the engine's reference switch) or
+``keep_events=True`` forces the generic path, which is how the
+differential tests obtain the reference side.
 
 After the loop the kernel *repairs* the invariants it bypassed: dead
-nodes leave the graphs, the cached node/edge counts are recomputed, the
+nodes leave the graphs, the cached edge counts are recomputed, the
 degree/δ indexes are invalidated / re-pushed, and ``network.peak_delta``
 is set. The component tracker and ``network.events``/``deleted_nodes``
 are NOT maintained by :func:`run_fused` — which is why eligibility
@@ -57,7 +55,6 @@ from typing import TYPE_CHECKING, Sequence
 from repro.adversary.classic import RandomAttack
 from repro.churn.adversaries import ChurnAdversary, TraceChurnAdversary
 from repro.core.dash import Dash
-from repro.graph.array_backend import ArrayGraph
 from repro.graph.graph import Graph
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -138,14 +135,9 @@ def _dense_labels(graph: Graph, healing_graph: Graph) -> bool:
     """True iff G's labels are exactly ``0..n−1`` and G′ holds the same
     nodes — the slot-list layout the kernel indexes.
 
-    On the array backend that is a hole-free slot store. On the object
-    graph it is an O(n) check at C speed: n unique keys that are all
-    exact ``int`` (no ``bool``, no numpy ints) in ``[0, n)`` are exactly
-    ``range(n)``.
+    An O(n) check at C speed: n unique keys that are all exact ``int``
+    (no ``bool``, no numpy ints) in ``[0, n)`` are exactly ``range(n)``.
     """
-    if type(graph) is ArrayGraph:
-        n = len(graph._nbrs)
-        return graph.num_nodes == n and len(healing_graph._nbrs) == n
     keys = graph._adj.keys()
     if not keys:
         return not healing_graph._adj
@@ -160,31 +152,25 @@ def _dense_labels(graph: Graph, healing_graph: Graph) -> bool:
 def _slot_list(graph: Graph) -> list:
     """``graph``'s adjacency as a list indexed by node label.
 
-    The array backend's slot store is that list already. On the object
-    graph the list holds the ``_adj`` dict's own sets (labels are
-    exactly ``0..n−1``, see :func:`_dense_labels`), so every add and
-    discard the kernel makes lands in the graph; the kernel's tombstones
-    (slots set to ``None``) reach the dict in :func:`_write_back`.
+    The list holds the ``_adj`` dict's own sets (labels are exactly
+    ``0..n−1``, see :func:`_dense_labels`), so every add and discard the
+    kernel makes lands in the graph; the kernel's tombstones (slots set
+    to ``None``) reach the dict in :func:`_write_back`.
     """
-    if type(graph) is ArrayGraph:
-        return graph._nbrs
     adj = graph._adj
     return list(map(adj.__getitem__, range(len(adj))))
 
 
-def _write_back(graph: Graph, slots: list, n_alive: int) -> None:
+def _write_back(graph: Graph, slots: list) -> None:
     """Repair what the kernel bypassed in ``graph``: dead nodes, the
-    node/edge counters and the degree index (dropped; rebuilt lazily on
-    the next extreme-degree query)."""
-    if type(graph) is ArrayGraph:
-        graph._n_alive = n_alive
-    else:
-        # In-place deletes keep the survivors' insertion order, exactly
-        # as the generic path's remove_node leaves it.
-        adj = graph._adj
-        for u, s in enumerate(slots):
-            if s is None:
-                del adj[u]
+    edge counter and the degree index (dropped; rebuilt lazily on the
+    next extreme-degree query)."""
+    # In-place deletes keep the survivors' insertion order, exactly as
+    # the generic path's remove_node leaves it.
+    adj = graph._adj
+    for u, s in enumerate(slots):
+        if s is None:
+            del adj[u]
     graph._num_edges = sum(len(s) for s in slots if s is not None) // 2
     graph._deg_index = None
 
@@ -236,7 +222,7 @@ def supports(
         )
     return (
         adversary_ok
-        and type(graph) in (Graph, ArrayGraph)
+        and type(graph) is Graph
         and type(network.healer) is Dash
         and not metrics
         and not batch_rounds
@@ -440,8 +426,8 @@ def run_fused(
             u for u, s in enumerate(adj) if s is not None
         ]
         survivors = adversary._alive
-    _write_back(graph, adj, n_alive)
-    _write_back(healing_graph, padj, n_alive)
+    _write_back(graph, adj)
+    _write_back(healing_graph, padj)
     network.peak_delta = peak_delta
     # Survivors' δ moved without the mutation stream firing: re-push
     # current values (stale lower/higher entries self-invalidate against
@@ -684,8 +670,8 @@ def run_fused_churn(
 
     # Repair what the fused prefix bypassed (both exits): dead nodes,
     # counters, the degree/δ machinery, and the deletion log.
-    _write_back(graph, adj, n_alive)
-    _write_back(healing_graph, padj, n_alive)
+    _write_back(graph, adj)
+    _write_back(healing_graph, padj)
     network.peak_delta = peak_delta
     network.deleted_nodes.extend(victims)
     alive = [u for u, s in enumerate(adj) if s is not None]

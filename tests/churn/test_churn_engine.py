@@ -185,7 +185,7 @@ def test_duplicate_targets_are_deduped():
 # Fast path exclusion
 # ----------------------------------------------------------------------
 
-def _check_mixed_round_eligibility(generator_spec):
+def test_fast_path_eligibility_for_mixed_round_adversaries_object_graph():
     """Exactly the verbatim churn adversary classes may enter the fused
     kernel (their delete-only prefixes fuse; insertion rounds bail out to
     the honest loop) — a mixed-round flag on anything else, or a churn
@@ -194,7 +194,7 @@ def _check_mixed_round_eligibility(generator_spec):
     from repro.churn.adversaries import ChurnAdversary
     from repro.sim import fastpath
 
-    graph = GENERATORS.make(generator_spec, force={"n": 32})
+    graph = GENERATORS.make("erdos_renyi:p=0.2", force={"n": 32})
     network = SelfHealingNetwork(graph, HEALERS.make("dash"))
 
     adversary = RandomAttack(seed=1)
@@ -226,15 +226,6 @@ def _check_mixed_round_eligibility(generator_spec):
     sub = TweakedChurn(rate=1.0, rounds=4, seed=1)
     sub.reset(network)
     assert not fastpath.supports(network, sub, **kwargs)
-
-
-def test_fast_path_eligibility_for_mixed_round_adversaries():
-    _check_mixed_round_eligibility("erdos_renyi:p=0.2,backend=array")
-
-
-def test_fast_path_eligibility_for_mixed_round_adversaries_object_graph():
-    """The same protocol checks on the object graph, which fuses too."""
-    _check_mixed_round_eligibility("erdos_renyi:p=0.2")
 
 
 def test_scripted_churn_on_two_disjoint_edges_keeps_graph_consistent():

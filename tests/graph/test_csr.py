@@ -1,9 +1,7 @@
 """Tests for the shared CSR builder (``repro.graph.csr``).
 
-``graph_to_csr`` grew out of ``graph/distance.py`` and now serves both
-the analytics and the array backend's bulk export; these are its first
-direct unit tests. The bulk slot-array path must be indistinguishable
-from the generic per-node walk.
+``graph_to_csr`` grew out of ``graph/distance.py`` and now serves the
+distance/stretch analytics; these are its direct unit tests.
 """
 
 from __future__ import annotations
@@ -12,7 +10,6 @@ import numpy as np
 import pytest
 
 from repro.errors import NodeNotFoundError
-from repro.graph.array_backend import ArrayGraph
 from repro.graph.csr import graph_to_csr
 from repro.graph.distance import graph_to_csr as reexported
 from repro.graph.graph import Graph
@@ -72,31 +69,3 @@ class TestGeneric:
     def test_distance_reexport_is_same_function(self):
         assert reexported is graph_to_csr
 
-
-class TestArrayBulkPath:
-    def test_bulk_equals_generic(self):
-        edges = [(0, 1), (0, 2), (2, 3), (1, 3), (3, 4)]
-        a = ArrayGraph.from_edges(edges, nodes=range(6))
-        g = Graph.from_edges(edges, nodes=range(6))
-        am, aorder = graph_to_csr(a)
-        gm, gorder = graph_to_csr(g)
-        assert aorder == gorder == list(range(6))
-        assert (dense(am) == dense(gm)).all()
-
-    def test_empty_array_graph(self):
-        mat, order = graph_to_csr(ArrayGraph())
-        assert mat.shape == (0, 0) and order == []
-
-    def test_holed_store_falls_back_to_generic(self):
-        a = ArrayGraph.from_edges([(0, 1), (1, 2)])
-        a.remove_node(1)
-        mat, order = graph_to_csr(a)
-        assert order == [0, 2]
-        assert mat.shape == (2, 2)
-        assert mat.nnz == 0
-
-    def test_explicit_order_falls_back_to_generic(self):
-        a = ArrayGraph.from_edges([(0, 1)])
-        mat, order = graph_to_csr(a, [1, 0])
-        assert order == [1, 0]
-        assert dense(mat)[0, 1] == 1

@@ -61,12 +61,8 @@ class _KillAfterRound:
 
 
 def _components(healer_spec: str, adversary_spec: str, n: int, seed: int):
-    # Backend rides an env var so "straight" and "run" agree; "resume"
-    # deliberately takes none — the checkpoint's static payload must
-    # carry the backend across the process boundary on its own.
-    backend = os.environ.get("REPRO_BACKEND", "object")
     graph = REGISTRIES["generator"].make(
-        f"erdos_renyi:n={n},p=0.08,seed={seed},backend={backend}"
+        f"erdos_renyi:n={n},p=0.08,seed={seed}"
     )
     healer = REGISTRIES["healer"].make(healer_spec)
     adversary = REGISTRIES["adversary"].make(adversary_spec, seed=seed + 1)

@@ -16,7 +16,6 @@ from repro.recovery import (
     Checkpointer,
     CrashAtRound,
     read_ledger,
-    resume_campaign,
     resume_from_ledger,
 )
 from repro.recovery.faults import chaos_round, crash_once, truncate_file
@@ -141,6 +140,30 @@ class TestByteIdenticalResume:
             )
         resumed = resume_from_ledger(ledger)
         _assert_identical(_straight("dash", "random"), resumed)
+
+    def test_static_payload_backend_key_is_ignored(
+        self, tmp_path, monkeypatch
+    ):
+        # Checkpoints written while an array graph backend existed carry
+        # "backend": "array" in their static payload. Restore ignores the
+        # key: a churn campaign checkpointed that way resumes on Graph,
+        # byte-identical to a straight-through run.
+        write_static = Checkpointer.write_static
+
+        def legacy_write_static(self, payload):
+            return write_static(self, {**payload, "backend": "array"})
+
+        monkeypatch.setattr(Checkpointer, "write_static", legacy_write_static)
+        adversary = "churn:rate=1.5,mean=8"
+        straight = _straight("dash", adversary)
+        resumed = _crash_and_resume(
+            "dash", adversary, tmp_path, crash_round=5, checkpoint_every=2
+        )
+        static = Checkpointer(tmp_path / "checkpoints").read_static()
+        assert static["backend"] == "array"
+        assert straight.insertions > 0
+        assert resumed.insertions == straight.insertions
+        _assert_identical(straight, resumed)
 
     def test_ledger_records_complete_audit_trail(self, tmp_path):
         _crash_and_resume("dash", "max-node", tmp_path)

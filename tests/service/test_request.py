@@ -61,25 +61,18 @@ class TestValidation:
         )
         assert request.adversary.startswith("random-wave")
 
-    def test_churn_on_array_backend_validates_and_runs(self):
-        """Churn × backend=array is a plain, runnable combination now
-        that array slot maps grow for inserted nodes — the request-level
-        fail-fast guard is gone, and both backends must agree exactly."""
-        results = {}
-        for backend in ("object", "array"):
-            request = tiny_request(
-                generator=f"erdos_renyi:p=0.1,backend={backend}",
-                generator_params={"n": 32},
-                adversary="churn:rate=2.0,rounds=6",
-                max_deletions=None,
-                seed=9,
-            )
-            results[backend] = run_request(request)
-        assert results["array"].values == results["object"].values
-        assert results["array"].insertions == results["object"].insertions
-        assert results["array"].insertions > 0
-        assert results["array"].deletions == results["object"].deletions
-
+    def test_churn_request_validates_and_runs(self):
+        """A churn adversary is a plain, runnable request."""
+        request = tiny_request(
+            generator="erdos_renyi:p=0.1",
+            generator_params={"n": 32},
+            adversary="churn:rate=2.0,rounds=6",
+            max_deletions=None,
+            seed=9,
+        )
+        result = run_request(request)
+        assert result.insertions > 0
+        assert result.deletions > 0
 
 class TestIdentity:
     def test_spec_hash_is_stable(self):

@@ -2,12 +2,12 @@
 tests (the PR-4 analogue of ``tests/core/_seed_tracker.py`` and
 ``tests/adversary/_scan_adversaries.py``).
 
-These are the bodies of ``run_simulation`` and ``run_wave_simulation``
-exactly as they stood before both became shims over
-:func:`repro.sim.engine.run_campaign`.
-``tests/sim/test_campaign_engine.py``
-replays identical campaigns through the engine and through these loops
-and asserts byte-identical :class:`HealEvent` streams and
+These are the bodies of the package's former single-victim and wave
+simulation entry points exactly as they stood before
+:func:`repro.sim.engine.run_campaign` replaced both.
+``tests/sim/test_campaign_engine.py`` replays identical campaigns
+through the engine (``batch_rounds=False`` / ``True``) and through these
+loops and asserts byte-identical :class:`HealEvent` streams and
 :class:`SimulationResult` fields.
 
 The one intentional divergence is the wave loop's accounting bug the
@@ -29,12 +29,12 @@ from repro.core.network import SelfHealingNetwork
 from repro.errors import ConfigurationError, SimulationError
 from repro.graph.graph import Graph
 from repro.sim.metrics import Metric
-from repro.sim.simulator import SimulationResult
+from repro.sim.engine import SimulationResult
 
-__all__ = ["seed_run_simulation", "seed_run_wave_simulation"]
+__all__ = ["seed_single_victim_loop", "seed_wave_loop"]
 
 
-def seed_run_simulation(
+def seed_single_victim_loop(
     graph: Graph,
     healer: Healer,
     adversary: Adversary,
@@ -47,7 +47,7 @@ def seed_run_simulation(
     keep_events: bool = False,
     keep_network: bool = False,
 ) -> SimulationResult:
-    """``run_simulation`` as of PR 3 (pre-engine), verbatim."""
+    """The pre-engine single-victim loop, verbatim."""
     if stop_alive < 0:
         raise ConfigurationError(f"stop_alive must be >= 0, got {stop_alive}")
     if max_deletions is not None and max_deletions < 0:
@@ -97,7 +97,7 @@ def seed_run_simulation(
     )
 
 
-def seed_run_wave_simulation(
+def seed_wave_loop(
     graph: Graph,
     healer: Healer,
     adversary: WaveAdversary,
@@ -111,7 +111,7 @@ def seed_run_wave_simulation(
     keep_network: bool = False,
     batch_fast_path: bool = True,
 ) -> SimulationResult:
-    """``run_wave_simulation`` as of PR 3 (pre-engine), verbatim."""
+    """The pre-engine wave loop, verbatim."""
     if stop_alive < 0:
         raise ConfigurationError(f"stop_alive must be >= 0, got {stop_alive}")
     if max_waves is not None and max_waves < 0:

@@ -3,9 +3,8 @@
 The kernel (``repro.sim.fastpath``) may only change *speed*: every
 result scalar, the adversary's RNG stream, its survivor list, and the
 graph the caller handed in must be exactly what the generic engine
-produces — on the object graph and on the array backend. The generic
-path is obtained by forcing an observer (``keep_events=True``), which
-makes the kernel ineligible.
+produces. The generic path is obtained by forcing an observer
+(``keep_events=True``), which makes the kernel ineligible.
 """
 
 from __future__ import annotations
@@ -27,8 +26,8 @@ from repro.sim import fastpath
 from repro.sim.engine import run_campaign
 
 
-def make(backend, n=160, seed=1):
-    return preferential_attachment(n, 3, seed=seed, backend=backend)
+def make(n=160, seed=1):
+    return preferential_attachment(n, 3, seed=seed)
 
 
 def shuffled(graph, seed=0):
@@ -89,8 +88,11 @@ def assert_object_fused_matches_generic(
 
     assert scalars(fused) == scalars(generic)[:5] + (None, None)
     assert adv_fused._rng.getstate() == adv_gen._rng.getstate()
+    # The generic adversary pops its final (now dead) victim lazily on
+    # the next draw; the kernel pops eagerly. Normalize and compare.
     expected_alive = [u for u in adv_gen._alive if u != adv_gen._last]
     assert adv_fused._alive == expected_alive
+    assert adv_fused._last is None
     assert sorted(g_fused.nodes()) == expected_alive
 
     assert_same_graph(g_fused, g_gen)
@@ -130,38 +132,12 @@ CASES = [
 ]
 
 
-@pytest.mark.parametrize("kw", CASES, ids=[str(c) for c in CASES])
-def test_fused_matches_generic_and_object(kw):
-    before = fastpath._fused_campaigns
-    adv_fused = ADVERSARIES.make("random", seed=2)
-    fused = run(make("array"), adv_fused, **kw)
-    assert fastpath._fused_campaigns == before + 1
-
-    adv_gen = ADVERSARIES.make("random", seed=2)
-    generic = run(make("array"), adv_gen, keep_events=True, **kw)
-    obj = run(make("object"), ADVERSARIES.make("random", seed=2), **kw)
-
-    expect = scalars(generic)[:5] + (None, None)
-    assert scalars(fused) == expect
-    assert scalars(obj) == scalars(fused)
-
-    # The adversary must leave the kernel exactly where the generic
-    # engine would have left it: same survivor list semantics, same
-    # future RNG stream.
-    assert adv_fused._rng.getstate() == adv_gen._rng.getstate()
-    # The generic adversary pops its final (now dead) victim lazily on
-    # the next draw; the kernel pops eagerly. Normalize and compare.
-    expected_alive = [u for u in adv_gen._alive if u != adv_gen._last]
-    assert adv_fused._alive == expected_alive
-    assert adv_fused._last is None
-
-
 def test_fused_survivor_list_exact():
     adv_fused = ADVERSARIES.make("random", seed=5)
-    fused = run(make("array", seed=3), adv_fused, stop_alive=50)
+    fused = run(make(seed=3), adv_fused, stop_alive=50)
     adv_gen = ADVERSARIES.make("random", seed=5)
     generic = run(
-        make("array", seed=3), adv_gen, stop_alive=50, keep_events=True,
+        make(seed=3), adv_gen, stop_alive=50, keep_events=True,
         keep_network=True,
     )
     survivors = sorted(generic.network.graph.nodes())
@@ -176,7 +152,7 @@ def test_object_fused_matches_generic(networks, kw):
     remove_node/add_edge stream leaves it."""
     assert_object_fused_matches_generic(
         networks,
-        lambda: make("object"),
+        lambda: make(),
         lambda: ADVERSARIES.make("random", seed=2),
         **kw,
     )
@@ -188,7 +164,7 @@ def test_object_fused_indexes_by_label_not_dict_order(networks, kw):
     list is built by label, and survivors keep their dict order."""
     assert_object_fused_matches_generic(
         networks,
-        lambda: shuffled(make("object")),
+        lambda: shuffled(make()),
         lambda: ADVERSARIES.make("random", seed=2),
         **kw,
     )
@@ -198,29 +174,22 @@ def test_object_fused_indexes_by_label_not_dict_order(networks, kw):
     "graph_seed,attack_seed,id_seed", [(1, 2, 3), (4, 5, 6), (7, 8, 9)]
 )
 def test_fused_seed_grid(networks, graph_seed, attack_seed, id_seed):
-    fused = assert_object_fused_matches_generic(
+    assert_object_fused_matches_generic(
         networks,
-        lambda: make("object", n=220, seed=graph_seed),
+        lambda: make(n=220, seed=graph_seed),
         lambda: ADVERSARIES.make("random", seed=attack_seed),
         id_seed=id_seed,
     )
-    arr = run_campaign(
-        make("array", n=220, seed=graph_seed),
-        HEALERS.make("dash"),
-        ADVERSARIES.make("random", seed=attack_seed),
-        id_seed=id_seed,
-    )
-    assert scalars(arr) == scalars(fused)
 
 
 def _label_mismatched_graphs():
     """Object graphs whose labels are not exactly the ints 0..n-1."""
-    base = make("object", n=40)
+    base = make(n=40)
 
     def relabel(f):
         return Graph.from_edges((f(u), f(v)) for u, v in base.edges())
 
-    with_hole = make("object", n=40)
+    with_hole = make(n=40)
     with_hole.remove_node(7)
     return {
         "str": relabel(str),
@@ -239,17 +208,16 @@ def test_fused_engages_only_when_unobserved():
         dict(batch_fast_path=False),
     ]
     for kw in ineligible:
-        for backend in ("array", "object"):
-            run(make(backend, n=40), ADVERSARIES.make("random", seed=1), **kw)
+        run(make(n=40), ADVERSARIES.make("random", seed=1), **kw)
     # non-Dash healer, non-random adversary
     run_campaign(
-        make("object", n=40),
+        make(n=40),
         HEALERS.make("sdash"),
         ADVERSARIES.make("random", seed=1),
         id_seed=7,
     )
     run_campaign(
-        make("object", n=40),
+        make(n=40),
         HEALERS.make("dash"),
         ADVERSARIES.make("neighbor-of-max", seed=1),
         id_seed=7,
@@ -258,9 +226,8 @@ def test_fused_engages_only_when_unobserved():
     for graph in _label_mismatched_graphs().values():
         run(graph, ADVERSARIES.make("random", seed=1))
     assert fastpath._fused_campaigns == before
-    run(make("array", n=40), ADVERSARIES.make("random", seed=1))
-    run(make("object", n=40), ADVERSARIES.make("random", seed=1))
-    assert fastpath._fused_campaigns == before + 2
+    run(make(n=40), ADVERSARIES.make("random", seed=1))
+    assert fastpath._fused_campaigns == before + 1
 
 
 def _supports(network):
@@ -286,29 +253,22 @@ def test_object_label_check_refuses(name):
 
 def test_object_label_check_requires_matching_healing_graph():
     """G′ must hold exactly G's nodes: one missing or one extra refuses."""
-    network = SelfHealingNetwork(make("object", n=40), HEALERS.make("dash"))
+    network = SelfHealingNetwork(make(n=40), HEALERS.make("dash"))
     assert _supports(network)
     network.healing_graph.remove_node(5)
     assert not _supports(network)
-    network = SelfHealingNetwork(make("object", n=40), HEALERS.make("dash"))
+    network = SelfHealingNetwork(make(n=40), HEALERS.make("dash"))
     network.healing_graph.add_node(40)
     assert not _supports(network)
 
 
 def test_fused_on_tree_topology(networks):
-    fused = assert_object_fused_matches_generic(
+    assert_object_fused_matches_generic(
         networks,
         lambda: random_tree(150, seed=2),
         lambda: ADVERSARIES.make("random", seed=4),
         id_seed=1,
     )
-    arr = run_campaign(
-        random_tree(150, seed=2, backend="array"),
-        HEALERS.make("dash"),
-        ADVERSARIES.make("random", seed=4),
-        id_seed=1,
-    )
-    assert scalars(arr) == scalars(fused)
 
 
 @pytest.mark.parametrize("kw", [{}, {"stop_alive": 33}])
@@ -318,11 +278,11 @@ def test_fenwick_survivor_view_identical(monkeypatch, kw):
     at small n must change nothing: same scalars, same RNG stream, same
     rebuilt survivor list."""
     adv_list = ADVERSARIES.make("random", seed=9)
-    with_list = run(make("array", n=180, seed=4), adv_list, **kw)
+    with_list = run(make(n=180, seed=4), adv_list, **kw)
 
     monkeypatch.setattr(fastpath, "_FENWICK_THRESHOLD", 1)
     adv_tree = ADVERSARIES.make("random", seed=9)
-    with_tree = run(make("array", n=180, seed=4), adv_tree, **kw)
+    with_tree = run(make(n=180, seed=4), adv_tree, **kw)
 
     assert scalars(with_tree) == scalars(with_list)
     assert adv_tree._rng.getstate() == adv_list._rng.getstate()
@@ -336,7 +296,7 @@ def test_object_fenwick_view_matches_generic(networks, monkeypatch):
     monkeypatch.setattr(fastpath, "_FENWICK_THRESHOLD", 1)
     assert_object_fused_matches_generic(
         networks,
-        lambda: make("object", n=180, seed=4),
+        lambda: make(n=180, seed=4),
         lambda: ADVERSARIES.make("random", seed=9),
         stop_alive=33,
     )
@@ -375,28 +335,22 @@ def _churn_scalars(result):
     )
 
 
-def _run_all_ways(make_adversary, **kw):
-    """{(backend, path): result} for one churn campaign, fused and
-    forced-generic on both substrates; all four must agree."""
-    runs = {}
-    for backend in ("array", "object"):
-        runs[backend, "fused"] = run(make(backend), make_adversary(), **kw)
-        runs[backend, "generic"] = run(
-            make(backend), make_adversary(), keep_events=True, **kw
-        )
-    reference = _churn_scalars(runs["object", "generic"])
-    for result in runs.values():
-        assert _churn_scalars(result) == reference
-    return runs
+def _run_both_ways(make_adversary, **kw):
+    """One churn campaign, fused and forced-generic; the scalars must
+    agree. Returns the fused result."""
+    fused = run(make(), make_adversary(), **kw)
+    generic = run(make(), make_adversary(), keep_events=True, **kw)
+    assert _churn_scalars(fused) == _churn_scalars(generic)
+    return fused
 
 
 def test_fused_churn_pure_death_completes_in_kernel():
     """A churn schedule that never inserts (rate=0) runs start to finish
-    inside the kernel — one fused campaign per substrate, scalars
-    identical to the generic path on both."""
+    inside the kernel — one fused campaign, scalars identical to the
+    generic path."""
     before = fastpath._fused_campaigns
-    _run_all_ways(lambda: ADVERSARIES.make("churn:rate=0.0", seed=6))
-    assert fastpath._fused_campaigns == before + 2
+    _run_both_ways(lambda: ADVERSARIES.make("churn:rate=0.0", seed=6))
+    assert fastpath._fused_campaigns == before + 1
 
 
 def _prefix_then_insert_trace(tmp_path):
@@ -414,12 +368,12 @@ def test_fused_churn_delete_prefix_then_bailout(tmp_path):
     campaign — byte-identical to never having fused at all."""
     path = _prefix_then_insert_trace(tmp_path)
     before = fastpath._fused_campaigns
-    runs = _run_all_ways(
+    fused = _run_both_ways(
         lambda: ADVERSARIES.make(f"trace-churn:path={path}")
     )
-    assert fastpath._fused_campaigns == before + 2  # armed, then bailed
-    assert runs["object", "fused"].deletions == 44
-    assert runs["object", "fused"].insertions == 2
+    assert fastpath._fused_campaigns == before + 1  # armed, then bailed
+    assert fused.deletions == 44
+    assert fused.insertions == 2
 
 
 def test_object_fused_churn_bailout_is_byte_identical(networks, tmp_path):
@@ -429,7 +383,7 @@ def test_object_fused_churn_bailout_is_byte_identical(networks, tmp_path):
     leaves the same graphs, tracker partition and δ-index as a campaign
     that never fused."""
     path = _prefix_then_insert_trace(tmp_path)
-    g_fused, g_gen = make("object"), make("object")
+    g_fused, g_gen = make(), make()
     run(g_fused, ADVERSARIES.make(f"trace-churn:path={path}"))
     run(g_gen, ADVERSARIES.make(f"trace-churn:path={path}"), keep_events=True)
     net_fused, net_gen = networks[-2:]
@@ -450,13 +404,13 @@ def test_object_fused_churn_bailout_is_byte_identical(networks, tmp_path):
 def test_fused_churn_first_round_insertion_bails_unarmed(tmp_path):
     """Steady-state churn inserts from round one: the kernel must hand
     off before building any of its O(n) arrays — no fused campaign is
-    counted on either substrate, and nothing needs repair."""
+    counted, and nothing needs repair."""
     path = _schedule(
         tmp_path,
         [[["add", 500, [0]], ["delete", 1]], [["delete", 500]]],
     )
     before = fastpath._fused_campaigns
-    _run_all_ways(lambda: ADVERSARIES.make(f"trace-churn:path={path}"))
+    _run_both_ways(lambda: ADVERSARIES.make(f"trace-churn:path={path}"))
     assert fastpath._fused_campaigns == before
 
 
@@ -467,45 +421,42 @@ def test_fused_churn_bailout_repairs_graph_state(tmp_path):
     rounds = [[["delete", u]] for u in range(30)]
     rounds.append([["add", 900, [50, 51]]])
     path = _schedule(tmp_path, rounds)
-    for backend in ("array", "object"):
-        g = make(backend)
-        run(g, ADVERSARIES.make(f"trace-churn:path={path}"))
-        assert g.has_node(900)
-        assert g.num_nodes == 160 - 30 + 1
-        assert g.num_edges == sum(g.degrees().values()) // 2
-        g.check_degree_index()
-        validate_graph(g)
+    g = make()
+    run(g, ADVERSARIES.make(f"trace-churn:path={path}"))
+    assert g.has_node(900)
+    assert g.num_nodes == 160 - 30 + 1
+    assert g.num_edges == sum(g.degrees().values()) // 2
+    g.check_degree_index()
+    validate_graph(g)
 
 
 def test_fused_churn_dead_victim_error_parity(tmp_path):
     """A trace that re-kills a dead node raises the same SimulationError
-    fused as forced-generic, on both substrates: the kernel hands the
-    bad round to the generic loop, which reports it against a repaired
-    graph — on the object graph, the very graph a generic run leaves."""
+    fused as forced-generic: the kernel hands the bad round to the
+    generic loop, which reports it against a repaired graph — the very
+    graph a generic run leaves."""
     path = _schedule(tmp_path, [[["delete", 3]], [["delete", 3]]])
     messages = set()
-    graphs = {}
-    for backend in ("array", "object"):
-        for extra in ({}, {"keep_events": True}):
-            g = make(backend)
-            with pytest.raises(SimulationError, match="dead node") as exc:
-                run(g, ADVERSARIES.make(f"trace-churn:path={path}"), **extra)
-            messages.add(str(exc.value))
-            graphs[backend, bool(extra)] = g
+    graphs = []
+    for extra in ({}, {"keep_events": True}):
+        g = make()
+        with pytest.raises(SimulationError, match="dead node") as exc:
+            run(g, ADVERSARIES.make(f"trace-churn:path={path}"), **extra)
+        messages.add(str(exc.value))
+        graphs.append(g)
     assert len(messages) == 1
-    assert_same_graph(graphs["object", False], graphs["object", True])
-    validate_graph(graphs["array", False])
+    assert_same_graph(*graphs)
+    validate_graph(graphs[0])
 
 
 def test_fused_repairs_graph_counters():
     """After a fused stop_alive campaign the graph's public counters and
     degree machinery must be accurate (the kernel bypasses them live)."""
-    for backend in ("array", "object"):
-        g = make(backend, n=120, seed=6)
-        adv = ADVERSARIES.make("random", seed=8)
-        run(g, adv, stop_alive=30)
-        assert g.num_nodes == 30
-        assert sorted(g.nodes()) == adv._alive
-        assert g.num_edges == sum(g.degrees().values()) // 2
-        g.check_degree_index()
-        validate_graph(g)
+    g = make(n=120, seed=6)
+    adv = ADVERSARIES.make("random", seed=8)
+    run(g, adv, stop_alive=30)
+    assert g.num_nodes == 30
+    assert sorted(g.nodes()) == adv._alive
+    assert g.num_edges == sum(g.degrees().values()) // 2
+    g.check_degree_index()
+    validate_graph(g)

@@ -1,10 +1,11 @@
-"""Backend-selection plumbing: spec strings, the registry, and the CLI.
+"""The retired ``backend=`` generator-spec argument.
 
-The array backend must be reachable through every configuration
-surface — ``generator="pa:n=...,backend=array"`` spec strings, the
-``pa`` registry alias, ``new_graph``, and ``repro simulate --backend``
-— and unknown backends must fail fast with the known set in the
-message.
+Spec strings and generator params once chose a graph storage backend
+(``"pa:n=...,backend=array"``). Only ``Graph`` remains, but job records
+and experiment specs on disk still carry the argument, so
+``backend=object|array`` is a deprecated no-op: it warns and builds the
+same graph as the unpinned spec. Any other value fails fast, and the
+CLI's ``--backend`` flag is gone.
 """
 
 from __future__ import annotations
@@ -13,131 +14,61 @@ import pytest
 
 from repro.cli import main
 from repro.errors import ConfigurationError
-from repro.graph.array_backend import ArrayGraph, new_graph
 from repro.graph.generators import GENERATORS
 from repro.graph.graph import Graph
-from repro.sim.experiment import ExperimentSpec, expand_tasks, run_task
+from repro.sim.experiment import ExperimentSpec
+
+SPECS = ("pa:n=60,m=3", "erdos_renyi:n=50,p=0.1", "random_tree:n=50")
 
 
-class TestSpecRoundTrip:
-    def test_spec_selects_array_backend(self):
-        g = GENERATORS.make(
-            "preferential_attachment:n=50,m=3,backend=array", seed=1
+@pytest.mark.parametrize("backend", ["object", "array"])
+@pytest.mark.parametrize("spec", SPECS)
+def test_backend_pin_warns_and_builds_the_unpinned_graph(spec, backend):
+    plain = GENERATORS.make(spec, seed=4)
+    with pytest.warns(DeprecationWarning, match="backend="):
+        pinned = GENERATORS.make(f"{spec},backend={backend}", seed=4)
+    assert type(pinned) is Graph
+    assert pinned == plain
+    assert list(pinned.nodes()) == list(plain.nodes())
+    assert list(pinned.edges()) == list(plain.edges())
+
+
+@pytest.mark.parametrize("backend", ["object", "array"])
+def test_backend_in_generator_params_is_a_no_op_too(backend):
+    plain = GENERATORS.make("pa:n=60,m=3", seed=4)
+    with pytest.warns(DeprecationWarning, match="backend="):
+        pinned = GENERATORS.make(
+            "pa:m=3", seed=4, overrides={"n": 60, "backend": backend}
         )
-        assert type(g) is ArrayGraph
-        assert g.num_nodes == 50
-
-    def test_spec_default_is_object(self):
-        g = GENERATORS.make("preferential_attachment:n=30,m=2", seed=1)
-        assert type(g) is Graph
-
-    def test_pa_alias(self):
-        a = GENERATORS.make("pa:n=40,m=3,backend=array", seed=2)
-        b = GENERATORS.make(
-            "preferential_attachment:n=40,m=3,backend=array", seed=2
-        )
-        assert type(a) is ArrayGraph
-        assert a == b
-
-    def test_alias_listed(self):
-        assert "pa" in GENERATORS.names()
-
-    def test_backends_build_equal_graphs(self):
-        for spec in (
-            "pa:n=60,m=3",
-            "erdos_renyi:n=50,p=0.1",
-            "random_tree:n=50",
-        ):
-            obj = GENERATORS.make(spec, seed=4)
-            arr = GENERATORS.make(spec + ",backend=array", seed=4)
-            assert arr == obj and obj == arr, spec
-
-    def test_unknown_backend_fails_fast(self):
-        with pytest.raises(ConfigurationError) as exc:
-            GENERATORS.make("pa:n=10,backend=columnar", seed=1)
-        msg = str(exc.value)
-        assert "columnar" in msg
-        assert "array" in msg and "object" in msg
+    assert pinned == plain
+    assert list(pinned.edges()) == list(plain.edges())
 
 
-class TestNewGraphFactory:
-    def test_known_backends(self):
-        assert type(new_graph(backend="object")) is Graph
-        assert type(new_graph(backend="array")) is ArrayGraph
-
-    def test_unknown_backend(self):
-        with pytest.raises(ConfigurationError):
-            new_graph(backend="")
-
-
-class TestChurnSweeps:
-    """Churn sweeps run on every backend — the array substrate grows
-    slots for inserted nodes, so the old fail-fast guard is gone."""
-
-    def _spec(self, backend: str) -> ExperimentSpec:
-        generator = "erdos_renyi:p=0.1"
-        if backend != "object":
-            generator += f",backend={backend}"
-        # One name for every backend: task seeds derive from spec.name,
-        # and the paired design must hold across substrates too.
-        return ExperimentSpec(
-            name="churn-backend-parity",
-            generator=generator,
+@pytest.mark.parametrize("backend", ["object", "array"])
+def test_backend_pin_passes_validation(backend):
+    spec = f"pa:m=3,backend={backend}"
+    with pytest.warns(DeprecationWarning):
+        assert GENERATORS.validate_spec(spec) == "pa"
+    with pytest.warns(DeprecationWarning):
+        ExperimentSpec(
+            name="retired-backend",
+            generator=spec,
             sizes=(32,),
             healers=("dash",),
             repetitions=1,
-            adversary="churn:rate=2.0,rounds=6",
-            max_deletions=None,
-            master_seed=5,
         )
 
-    def test_churn_spec_on_array_backend_constructs(self):
-        self._spec("array")  # no ConfigurationError at __post_init__
 
-    def test_churn_sweep_results_identical_across_backends(self):
-        results = {}
-        for backend in ("object", "array"):
-            tasks = expand_tasks(self._spec(backend))
-            assert len(tasks) == 1
-            _, values = run_task(*tasks[0])
-            results[backend] = values
-        assert results["array"] == results["object"]
-        assert results["array"]["insertions"] > 0
+def test_unknown_backend_fails_fast():
+    with pytest.raises(ConfigurationError) as exc:
+        GENERATORS.make("pa:n=10,backend=columnar", seed=1)
+    assert "columnar" in str(exc.value)
+    with pytest.raises(ConfigurationError):
+        GENERATORS.validate_spec("pa:backend=columnar")
 
 
-class TestCli:
-    def _simulate(self, *extra):
-        return main(
-            ["simulate", "--n", "60", "--adversary", "random",
-             "--seed", "3", *extra]
-        )
-
-    def test_backend_flag_routes(self, capsys):
-        assert self._simulate("--backend", "array") == 0
-        out_array = capsys.readouterr().out
-        assert self._simulate("--backend", "object") == 0
-        out_object = capsys.readouterr().out
-        assert self._simulate() == 0
-        out_default = capsys.readouterr().out
-        # identical campaigns: the backend may not change any number
-        assert out_array == out_object == out_default
-
-    def test_backend_flag_rejects_unknown(self, capsys):
-        with pytest.raises(SystemExit):
-            self._simulate("--backend", "columnar")
-        assert "array" in capsys.readouterr().err
-
-    def test_backend_flag_conflicts_with_spec_pin(self, capsys):
-        rc = main(
-            ["simulate", "--n", "20", "--generator", "pa:backend=array",
-             "--backend", "object"]
-        )
-        assert rc == 2
-        assert "backend" in capsys.readouterr().err
-
-    def test_spec_pin_without_flag_works(self, capsys):
-        rc = main(
-            ["simulate", "--n", "40", "--generator", "pa:backend=array",
-             "--adversary", "random", "--seed", "3"]
-        )
-        assert rc == 0
+def test_cli_backend_flag_is_gone(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", "--n", "20", "--backend", "array"])
+    assert exc.value.code == 2
+    assert "--backend" in capsys.readouterr().err

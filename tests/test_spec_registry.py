@@ -214,7 +214,7 @@ _REQUIRED = {
         "gnm_random": "gnm_random:n=10,m=12",
         "random_tree": "random_tree:10",
         "preferential_attachment": "preferential_attachment:10",
-        "pa": "pa:n=10,backend=array",
+        "pa": "pa:n=10,m=3",
     },
     "metric": {"capacity": "capacity:headroom=2"},
 }
@@ -243,6 +243,11 @@ class TestEveryRegisteredComponentRoundTrips:
             graph = GENERATORS.make(spec, seed=1)
             assert isinstance(graph, Graph)
             assert graph.num_nodes >= 2
+
+    def test_generator_alias_builds_the_same_graph(self):
+        assert GENERATORS.make("pa:n=40,m=3", seed=2) == GENERATORS.make(
+            "preferential_attachment:n=40,m=3", seed=2
+        )
 
     def test_every_wave_schedule(self):
         for name in WAVE_SCHEDULES.names():
